@@ -139,9 +139,10 @@ def run_experiment():
     )
 
     # Supervisor overhead: the fault-tolerant chunk supervisor (retry/
-    # backoff bookkeeping, health polling, dedup) versus the raw
-    # imap_unordered pool on the same fault-free 4-worker run.  Best of
-    # five isolates scheduler noise on the single-core container.
+    # backoff bookkeeping, heartbeats, dedup) versus the same scheduler
+    # with recovery off (RunPolicy(supervised=False)) on the same
+    # fault-free 4-worker run.  Best of five isolates scheduler noise
+    # on the single-core container.
     def best_of(supervised, rounds=5):
         best, result = float("inf"), None
         for _ in range(rounds):
@@ -158,7 +159,7 @@ def run_experiment():
     overhead_pct = (sup_s - raw_s) / raw_s * 100.0
     table.add_note(
         f"supervisor overhead (fault-free, 4 workers, best of 5): "
-        f"supervised {sup_s * 1000:.1f}ms vs raw pool "
+        f"supervised {sup_s * 1000:.1f}ms vs unsupervised "
         f"{raw_s * 1000:.1f}ms -> {overhead_pct:+.1f}% "
         f"({sup.metrics.retries} retries, "
         f"{sup.metrics.pool_restarts} pool restarts)"

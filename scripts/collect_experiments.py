@@ -106,6 +106,14 @@ EXPERIMENTS = [
      "out-neighborhoods) and must beat the baseline by >= 1.5x "
      "geomean; plans the orient pass cannot rewrite fall back to the "
      "original graph and must stay within noise."),
+    ("pool_overhead",
+     "**Engineering (not a paper figure).** Fan-out cost of small "
+     "parallel queries, before and after replacing per-run fork pools "
+     "with one persistent worker pool per process.  Produced by "
+     "`scripts/pool_overhead.py` run on both commits (`--baseline` "
+     "merges the parent's JSON into the before columns).  Queries that "
+     "take under 2 ms serially still pay a few milliseconds of "
+     "dispatch at `workers=2`, down from about 20 ms."),
     ("test_ablation_hashtable", None),
     ("test_ablation_elide_and_passes", None),
     ("test_ablation_executor", None),

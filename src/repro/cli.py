@@ -142,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     count.add_argument("--induced", action="store_true",
                        help="vertex-induced semantics")
     count.add_argument("--workers", type=int, default=1,
-                       help="parallel fork-pool workers (default 1)")
+                       help="parallel pool workers (default 1)")
     count.add_argument("--executor",
                        choices=("codegen", "interpreter", "vectorized"),
                        default="codegen",
@@ -198,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     batch.add_argument("--induced", action="store_true",
                        help="vertex-induced semantics for every pattern")
     batch.add_argument("--workers", type=int, default=1,
-                       help="parallel fork-pool workers (default 1)")
+                       help="parallel pool workers (default 1)")
     batch.add_argument("--executor",
                        choices=("codegen", "interpreter", "vectorized"),
                        default="codegen")
@@ -324,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--socket", required=True, metavar="PATH",
                        help="Unix socket path to listen on")
     serve.add_argument("--workers", type=int, default=1,
-                       help="fork-pool workers per run (default 1)")
+                       help="pool workers per run (default 1)")
     serve.add_argument("--executor",
                        choices=("codegen", "interpreter", "vectorized"),
                        default="codegen")

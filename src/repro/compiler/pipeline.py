@@ -9,9 +9,12 @@ manually).
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 import time
 import weakref
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 from repro.compiler.build import PlanInfo, build_ast
@@ -59,6 +62,14 @@ class CompiledPlan:
     #: matching :class:`~repro.graph.transform.OrientedGraph`; the
     #: engine wraps the input graph accordingly.
     orientation: str = "none"
+
+    @cached_property
+    def frozen_ir(self) -> tuple[bytes, bytes]:
+        """``(digest, pickled IR root)``: how the plan travels to pool
+        workers, which re-lower it themselves (the digest keys their
+        plan memo, so equal IR compiled twice is shipped once)."""
+        payload = pickle.dumps(self.root, protocol=pickle.HIGHEST_PROTOCOL)
+        return hashlib.blake2b(payload, digest_size=16).digest(), payload
 
     @property
     def uses_decomposition(self) -> bool:

@@ -9,7 +9,7 @@ Three sub-facilities, usable independently:
 * :mod:`repro.observe.trace` — nested spans recorded into a per-run
   :class:`Trace` (``observe.enable()`` / ``observe.span("search")`` /
   ``observe.disable()``), exportable as JSON or a Chrome ``trace_event``
-  file.  Fork-pool workers ship their spans back through the per-chunk
+  file.  Pool workers ship their spans back through the per-chunk
   result channel.
 * :mod:`repro.observe.metrics` — a process-local registry of counters,
   gauges and histograms (:data:`REGISTRY`), with JSON and

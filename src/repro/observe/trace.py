@@ -19,12 +19,12 @@ Design constraints, in priority order:
   check plus returning a shared no-op context manager; no objects are
   allocated, nothing is recorded.  ``scripts/observe_overhead.py`` gates
   this (< 2 % on the fig16 smoke run).
-* **Fork-pool workers report through the result channel.**  A forked
-  chunk worker inherits the enabled flag, records its spans into its own
-  per-chunk trace (:func:`begin_worker_trace` / :func:`take_worker_spans`)
-  with *relative* timestamps, and returns them alongside the chunk's
-  accumulators; the parent grafts them into the live trace with
-  :func:`graft_worker_spans`.  Worker clocks are not comparable to the
+* **Pool workers report through the result channel.**  A chunk task
+  carries the parent's enabled flag; the worker records its spans into
+  its own per-chunk trace (:func:`begin_worker_trace` /
+  :func:`take_worker_spans`) with *relative* timestamps, and returns
+  them alongside the chunk's accumulators; the parent grafts them into
+  the live trace with :func:`graft_worker_spans`.  Worker clocks are not comparable to the
   parent's, so grafted spans keep exact durations but are re-based so the
   subtree ends at collection time — faithful for duration accounting
   (the quantity the chunk-coverage check sums), approximate for absolute
@@ -323,20 +323,24 @@ class Trace:
 
 
 # ----------------------------------------------------------------------
-# Fork-pool worker support
+# Pool worker support
 # ----------------------------------------------------------------------
 #
-# A forked worker inherits ``_ENABLED=True`` and (a copy of) the parent
-# trace; recording into the inherited copy would be invisible to the
-# parent.  Workers therefore swap in a fresh trace per chunk and ship its
-# spans back through the chunk result tuple.
+# A pool worker outlives the parent's tracing state at fork time, so
+# each chunk task carries the parent's flag.  Recording into an
+# inherited copy of the parent trace would be invisible to the parent:
+# workers swap in a fresh trace per chunk and ship its spans back
+# through the chunk result tuple.
 
-def begin_worker_trace(name: str = "worker") -> "Trace | None":
-    """Start a fresh trace in a worker process (None when disabled)."""
-    global _TRACE
-    if not _ENABLED:
-        return None
-    _TRACE = Trace(name)
+def begin_worker_trace(name: str = "worker",
+                       enabled: bool | None = None) -> "Trace | None":
+    """Start a fresh trace in a worker process (None when disabled).
+
+    ``enabled`` is the submitting parent's tracing flag, which a chunk
+    task carries; None keeps this process's own flag."""
+    global _ENABLED, _TRACE
+    _ENABLED = _ENABLED if enabled is None else enabled
+    _TRACE = Trace(name) if _ENABLED else None
     return _TRACE
 
 

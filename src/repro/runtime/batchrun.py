@@ -3,11 +3,12 @@
 Executes a :class:`~repro.compiler.batch.BatchPlan` schedule in
 dependency order, sharing the expensive per-run state across nodes:
 
-* **one shared-memory graph segment** — when the batch runs parallel
-  and the graph is not already shared (the serve daemon's long-lived
-  segment), the graph is shared *once* here and every node's fork
-  workers attach the same segment zero-copy, instead of each node
-  paying its own copy;
+* **one worker pool and one shared-memory graph segment** — every
+  node's chunks run on the process's persistent worker pool, and when
+  the batch runs parallel and the graph is not already shared (the
+  serve daemon's long-lived segment), the graph is shared *once* here
+  and every node's tasks name that segment, instead of each node paying
+  its own copy;
 * **one ``SetOpCache``** — a single memo cache threads through every
   node's execution context, so candidate sets computed by one census
   (``N(v) ∩ N(u)`` for the clique family, say) are cache hits for the
@@ -30,6 +31,7 @@ batched counts bit-identical to sequential ones.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -40,6 +42,7 @@ from repro.observe import metrics as om
 from repro.observe.ledger import new_run_id, run_tags
 from repro.observe.trace import span
 from repro.runtime.engine import EngineOptions, execute_plan
+from repro.runtime.pool import get_pool
 from repro.runtime.setops import DEFAULT_CACHE_CAPACITY, SetOpCache
 from repro.runtime.supervisor import RunBudget, RunPolicy
 
@@ -130,10 +133,12 @@ def execute_batch(
 
     handle = None
     exec_graph = graph
-    if (options.workers > 1 and options.shared_graph
+    if (options.workers > 1 and hasattr(os, "fork")
             and getattr(graph, "shared_descriptor", None) is None):
-        # Share once: every node's fork workers attach this segment
-        # instead of each execute_plan sharing its own copy.
+        # Share once: every node's tasks name this segment instead of
+        # each execute_plan sharing its own copy.  Start the pool first
+        # so its workers attach the segment rather than inherit it.
+        get_pool(options.workers)
         handle = shared_mod.share_graph(graph)
         exec_graph = handle.graph
 

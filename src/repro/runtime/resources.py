@@ -16,8 +16,9 @@ dying:
   supervisor (deadline, timeout preemption, SIGINT via
   :func:`request_cancel`) and the watchdog flip it; executors poll it at
   loop boundaries, so chunks stop **cooperatively** — no pool teardown.
-  Fork-pool workers inherit the mapping outright; the parent alone
-  unlinks it (:func:`active_tokens` exposes what has not drained).
+  Pool workers attach it by segment name (it rides in every chunk
+  task's run frame); the parent alone unlinks it (:func:`active_tokens`
+  exposes what has not drained).
 * :class:`ChunkCancelled` — raised inside a chunk when the token is
   set; the supervisor turns it into salvage/bisection bookkeeping
   rather than a retry.
@@ -160,12 +161,12 @@ def active_tokens() -> list[str]:
 
 
 class CancelToken:
-    """A two-byte cancellation/downshift flag shared across fork workers.
+    """A two-byte cancellation/downshift flag shared with pool workers.
 
     Byte 0 holds the cancel-reason code (0 = not cancelled), byte 1 the
     frontier downshift level.  On hosts with POSIX shared memory the
     bytes live in a named ``multiprocessing.shared_memory`` segment that
-    fork children inherit zero-copy; elsewhere (or when shared memory is
+    an unpickled copy maps by name; elsewhere (or when shared memory is
     unavailable) a plain in-process buffer backs the same API, which is
     all the serial execution path needs.
 
@@ -254,47 +255,27 @@ class CancelToken:
             except (FileNotFoundError, OSError):
                 pass
 
-    # -------------- pickling (non-fork transports) --------------
+    # -------------- pickling (how a token reaches pool workers) ----------
     def __getstate__(self):
         return {"name": self.name}
 
     def __setstate__(self, state):
-        name = state["name"]
-        self.name = name
-        self._owner = False
-        self._segment = None
-        self._buf = bytearray(2)
-        if name is None:
+        self.__init__(bytearray(2), name=state["name"])
+        if self.name is None:
             return
         try:
-            from multiprocessing import shared_memory
+            from repro.graph.shared import map_segment
 
-            segment = shared_memory.SharedMemory(name=name)
+            self._segment = self._buf = map_segment(self.name)
         except (ImportError, OSError):
-            return
-        _unregister_from_resource_tracker(name)
-        self._segment = segment
-        self._buf = segment.buf
-
-
-def _unregister_from_resource_tracker(name: str) -> None:
-    """Attach-side only (see repro.graph.shared): attaching registers a
-    second "owner" with the resource tracker, which would unlink the
-    segment on this process's exit; dropping it leaves exactly one
-    owner — the creator, whose ``unlink()`` balances its own
-    registration."""
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(f"/{name}", "shared_memory")
-    except Exception:
-        pass
+            pass  # unlinked already, or no POSIX shm: a detached flag
 
 
 class ResourceGovernor:
     """Per-run resource handle the executors cooperate with.
 
-    Travels to chunk workers on the fork state /
+    Travels to chunk workers pickled in the run frame (the token by
+    segment name) and reaches executors on the
     :class:`~repro.runtime.context.ExecutionContext`; the supervising
     parent keeps the owning side (token unlink, watchdog).
     """

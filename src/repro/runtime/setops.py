@@ -58,9 +58,6 @@ __all__ = [
     "intersect_from",
     "subtract_upto",
     "subtract_from",
-    "intersect_into",
-    "subtract_into",
-    "BufferPool",
     "SetOpCache",
 ]
 
@@ -257,111 +254,6 @@ def subtract_from(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
     """``{x in a - b : x > bound}``."""
     STATS.bounded += 1
     return subtract(a[a.searchsorted(bound, side="right"):], b)
-
-
-# ----------------------------------------------------------------------
-# Allocation-free variants and the free-list pool
-# ----------------------------------------------------------------------
-
-def intersect_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> int:
-    """Write ``intersect(a, b)`` into ``out``; returns the result length.
-
-    ``out`` must be an ``int64`` buffer with capacity ``>= min(|a|, |b|)``
-    (lease one from a :class:`BufferPool`).  The caller reads
-    ``out[:returned]``.  Use this in loops whose results are consumed
-    before the next call: it skips the result allocation, which on large
-    operands (beyond the CPython small-object realm) is the dominant
-    cost of the plain kernel.
-    """
-    if a.size > b.size:
-        a, b = b, a
-    if a.size == 0:
-        return 0
-    STATS.intersect_gallop += 1
-    idx = b.searchsorted(a)
-    hits = b.take(idx, mode="clip") == a
-    k = int(np.count_nonzero(hits))
-    if k:
-        np.compress(hits, a, out=out[:k])
-    return k
-
-
-def subtract_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> int:
-    """Write ``subtract(a, b)`` into ``out``; returns the result length.
-
-    ``out`` needs capacity ``>= |a|``.  See :func:`intersect_into`.
-    """
-    if a.size == 0:
-        return 0
-    if b.size == 0:
-        out[: a.size] = a
-        return int(a.size)
-    STATS.subtract_gallop += 1
-    idx = b.searchsorted(a)
-    keep = b.take(idx, mode="clip") != a
-    k = int(np.count_nonzero(keep))
-    if k:
-        np.compress(keep, a, out=out[:k])
-    return k
-
-
-class BufferPool:
-    """Free-list of ``int64`` buffers in power-of-two size classes.
-
-    ``acquire(n)`` leases a buffer of capacity at least ``n`` (reusing a
-    released one when the size class has stock), ``release(buf)`` returns
-    it.  Pairing with the ``*_into`` kernels lets inner loops run without
-    allocating: the paper's C++ runtime preallocates one vertex-set
-    buffer per loop depth, and this is the Python analogue for callers —
-    like the set-op microbenchmark and bulk executors — whose buffer
-    lifetimes are explicit.  (The default kernels deliberately do *not*
-    pool: for the small neighbor lists typical of matching loops,
-    measured CPython/NumPy allocation is cheaper than recycling through
-    ``out=``, so pooling pays only beyond roughly page-cache sizes.)
-    """
-
-    __slots__ = ("max_per_class", "_free", "leases", "reuses", "grown")
-
-    def __init__(self, max_per_class: int = 8) -> None:
-        self.max_per_class = max_per_class
-        self._free: dict[int, list[np.ndarray]] = {}
-        self.leases = 0
-        self.reuses = 0
-        self.grown = 0
-
-    @staticmethod
-    def _class_of(n: int) -> int:
-        return max(1, int(n) - 1).bit_length()
-
-    def acquire(self, n: int) -> np.ndarray:
-        """Lease a buffer with capacity ``>= n`` (contents undefined)."""
-        self.leases += 1
-        cls = self._class_of(n)
-        stock = self._free.get(cls)
-        if stock:
-            self.reuses += 1
-            return stock.pop()
-        self.grown += 1
-        return np.empty(1 << cls, dtype=DTYPE)
-
-    def release(self, buf: np.ndarray) -> None:
-        """Return a leased buffer to its size class."""
-        if buf.base is not None:  # slices are views into a leased buffer
-            buf = buf.base
-        cls = self._class_of(buf.size)
-        if buf.size != (1 << cls):  # foreign buffer: not pool-shaped
-            return
-        stock = self._free.setdefault(cls, [])
-        if len(stock) < self.max_per_class:
-            stock.append(buf)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "pool_leases": self.leases,
-            "pool_reuses": self.reuses,
-            "pool_grown": self.grown,
-            "pool_idle": sum(len(s) for s in self._free.values()),
-        }
 
 
 # ----------------------------------------------------------------------

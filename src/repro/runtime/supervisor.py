@@ -1,7 +1,9 @@
 """Chunk-level fault-tolerant execution supervisor.
 
-The engine's fork-pool path (paper §7.4) statically cuts the outermost
-loop into chunks; because every chunk accumulates into associative/
+The engine (paper §7.4) statically cuts the outermost loop into chunks
+and the supervisor is its only parallel scheduler, dispatching them onto
+the process's persistent worker pool (:mod:`repro.runtime.pool`);
+because every chunk accumulates into associative/
 commutative counters, any chunk is safely *re-executable*.  The
 supervisor exploits that: it tracks per-chunk state
 (pending → running → done/failed), re-dispatches chunks lost to worker
@@ -24,26 +26,26 @@ Recovery ladder, mildest first:
    the shared cancel token with reason ``"preempt"``: every in-flight
    chunk parks itself at its next poll, completed results are drained
    during ``RunBudget.drain_grace_s`` (healthy work is never thrown
-   away), the wedged chunk is bisected, and the pool is recycled only
-   if a worker is still unresponsive after the grace window.  Without
-   a governor the pool cannot cancel a running task, so the legacy
-   ladder applies: drain finished results, terminate, restart.
-4. **Worker death** — detected by a pool health check (worker pid set
-   or exit codes changed).  ``multiprocessing.Pool`` replaces dead
-   workers but silently loses their in-flight task, so the supervisor
-   drains finished results, terminates the pool, and restarts it,
-   re-dispatching every unfinished chunk (each in-flight chunk is
-   charged one attempt — a dispatch that produced no result).
-5. **Pool failure cap** — after ``max_pool_restarts`` restarts the pool
-   is abandoned and remaining chunks degrade to in-process serial
-   execution (still retried; ``"die"`` faults are simulated there).
+   away), the wedged chunk is bisected, and a worker is killed and
+   replaced only if it is still unresponsive after the grace window.
+   Without a governor a running chunk cannot be cancelled, so the late
+   chunk's worker is killed and replaced (one pool restart) and the
+   chunk charged one attempt.
+4. **Worker death** — the pool reports the loss of exactly the chunk
+   the dead worker was running (and has already forked a replacement);
+   that chunk is charged one attempt and re-dispatched, counting one
+   pool restart.
+5. **Pool failure cap** — after ``max_pool_restarts`` restarts the run
+   stops using the pool and its remaining chunks degrade to in-process
+   serial execution (still retried; ``"die"`` faults are simulated
+   there).
 6. **Retry exhaustion / deadline / retry budget / cancellation** — the
    chunk surfaces a structured :class:`ChunkFailure` on
    ``ExecutionResult.failures`` instead of crashing the run;
    ``embedding_count`` then refuses with an
    :class:`~repro.exceptions.ExecutionError`.  Deadline expiry and
    SIGINT on governed runs cancel cooperatively through the token —
-   no pool teardown — and the outcome carries the completed work
+   no worker teardown — and the outcome carries the completed work
    fraction (salvage) of everything that did finish.
 
 Checkpointing writes one JSON line per completed chunk (accumulators,
@@ -57,11 +59,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import pickle
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from queue import Empty, SimpleQueue
 
 from repro.compiler.build import COUNT_ACC
 from repro.exceptions import ExecutionError
@@ -92,8 +97,8 @@ class RunBudget:
         ``"deadline"``.
     chunk_timeout_s:
         Per-chunk timeout on the pool path (unenforceable in-process,
-        where a chunk cannot be preempted).  A chunk whose result does
-        not arrive in time is presumed lost and triggers a pool restart.
+        where a chunk cannot be preempted), from when a worker takes it.
+        A late chunk is presumed wedged and its worker replaced.
     max_chunk_retries:
         Re-dispatches allowed per chunk before it fails permanently.
     max_retries:
@@ -102,9 +107,11 @@ class RunBudget:
         Capped exponential backoff between retries of the same chunk:
         ``min(backoff_s * 2**(attempt-1), backoff_cap_s)``.
     max_pool_restarts:
-        Pool rebuilds tolerated before degrading to serial execution.
+        Worker replacements (deaths, kills of wedged workers) tolerated
+        before the run degrades to serial execution.
     poll_interval_s:
-        Supervisor polling granularity on the pool path.
+        Longest wait for a chunk event before the pool path re-checks
+        timeouts, deadlines and the cancel token.
     drain_grace_s:
         On resource-governed runs, how long to keep collecting results
         from token-cancelled in-flight chunks before giving up on them
@@ -329,15 +336,29 @@ class SupervisorOutcome:
     chunks_done: int = 0
     chunks_total: int = 0
 
+    def salvage(self) -> dict | None:
+        """What a cancelled or incomplete sweep still banked (None when
+        it ran to completion)."""
+        if self.cancelled is None and not self.failures:
+            return None
+        return {
+            "fraction": (round(self.work_done / self.work_total, 6)
+                         if self.work_total else 1.0),
+            "chunks_done": self.chunks_done,
+            "chunks_total": self.chunks_total,
+            "unfinished": [list(f.bounds) for f in self.failures[:32]],
+        }
+
 
 class Supervisor:
     """Drives one plan's chunks to completion despite partial failure.
 
     The caller (``execute_plan``) owns chunking, aux-plan recursion, and
     result assembly; the supervisor owns dispatch, recovery, and the
-    checkpoint.  Chunk workers are the engine's fork-pool workers; the
-    in-process serial path mirrors them with ``allow_exit=False`` fault
-    semantics and per-chunk contexts.
+    checkpoint.  Chunks run on the persistent pool's workers, at most
+    ``workers`` of them at a time; the in-process serial path mirrors
+    them with ``allow_exit=False`` fault semantics and per-chunk
+    contexts.
     """
 
     def __init__(
@@ -353,7 +374,6 @@ class Supervisor:
         deadline_at: float | None = None,
         cache: bool | int = True,
         progress=None,
-        shared_graph: bool = True,
         resources=None,
     ) -> None:
         self.plan = plan
@@ -361,7 +381,6 @@ class Supervisor:
         self.predicates = list(ctx.predicates)
         self.faults = ctx.faults
         self.cache = cache
-        self.shared_graph = shared_graph
         self.bounds = dict(enumerate(ranges))
         self.workers = workers
         self.executor = executor
@@ -397,8 +416,8 @@ class Supervisor:
         # so their checkpoint records never collide with the parents'.
         self._initial_chunks = len(ranges)
         self._next_index = len(ranges)
-        # Pids the memory watchdog samples (workers + supervisor).
-        self._watch_pids: list[int] = [os.getpid()]
+        # Chunks running on the worker pool: index -> pool.Task.
+        self._inflight: dict[int, object] = {}
 
     def _chunk_weight(self, bounds: tuple[int, int]) -> int:
         """Degree-weighted work estimate for one chunk (out-degree on
@@ -477,11 +496,14 @@ class Supervisor:
         gov = self.resources
         if gov is None or gov.token is None or gov.budget.max_rss_bytes is None:
             return None
-        watchdog = MemoryWatchdog(
-            gov.budget, gov.token, lambda: list(self._watch_pids)
-        )
+        watchdog = MemoryWatchdog(gov.budget, gov.token, self._watched_pids)
         watchdog.start()
         return watchdog
+
+    def _watched_pids(self) -> list[int]:
+        """The workers running this run's chunks, plus this process."""
+        return [task.worker.proc.pid for task in list(self._inflight.values())
+                if task.worker is not None] + [os.getpid()]
 
     def _start_deadline_timer(self) -> threading.Timer | None:
         """Flip the cancel token when the deadline passes, so in-flight
@@ -760,256 +782,181 @@ class Supervisor:
     # Pool path
     # ------------------------------------------------------------------
     def _run_pool(self, pending: list[int]) -> list[int]:
-        """Run chunks on a fork pool; returns chunks left for serial."""
-        import multiprocessing as mp
+        """Run chunks on the process's persistent worker pool; returns
+        chunks left for the in-process serial path."""
+        from repro.graph import shared
+        from repro.observe.trace import enabled as tracing
+        from repro.runtime import pool as pool_mod
 
-        from repro.runtime import engine
-
-        mp_context = mp.get_context("fork")
-        state = {
-            "plan": self.plan,
-            "graph": self.graph,
-            "executor": self.executor,
-            "predicates": self.predicates,
-            "faults": self.faults,
-            "cache": self.cache,
-            # The governor rides into every worker: its CancelToken maps
-            # the same shared-memory segment post-fork, so one flip in
-            # the supervisor is visible at every executor poll site.
-            "resources": self.resources,
-        }
-        # The shared segment outlives every pool epoch (restarts re-fork
-        # replacement workers that must still resolve the descriptor) and
-        # is unlinked in the same finally that releases the fork state —
-        # worker deaths, ExecutionErrors and deadline bail-outs all pass
-        # through here, so no path can leak it.
-        shared_handle = engine._share_state_graph(state, self.shared_graph)
-        token = engine._register_fork_state(state)
+        pool = pool_mod.get_pool(self.workers)
+        handle = None
+        descriptor = getattr(self.graph, "shared_descriptor", None)
+        if descriptor is None:
+            # Workers attach the graph by name.  The run unlinks what it
+            # shares on every exit path (the daemon's segment is reused).
+            handle = shared.share_graph(self.graph)
+            descriptor = handle.descriptor
         try:
-            while pending:
-                if self._deadline_expired():
-                    self.out.cancelled = self.out.cancelled or "deadline"
-                    self._fail_remaining(pending, "deadline")
-                    return []
-                status, pending = self._pool_epoch(mp_context, token, pending)
-                if status == "done":
-                    return []
-                self.out.pool_restarts += 1
-                if self.out.pool_restarts > self.budget.max_pool_restarts:
-                    return pending  # degrade to in-process serial
+            try:
+                blob = pool_mod.frame_blob(
+                    descriptor, self.executor, self.cache, self.predicates,
+                    self.faults, self.resources, tracing(),
+                )
+            except (pickle.PicklingError, TypeError, AttributeError):
+                return pending  # e.g. lambda predicates: run in-process
+            return self._pool_loop(pool, blob, pending)
         finally:
-            engine._release_fork_state(token)
-            if shared_handle is not None:
-                shared_handle.close()
-        return []
+            inflight, self._inflight = self._inflight, {}
+            for task in inflight.values():
+                pool.cancel(task)  # never leave this run's work behind
+            if handle is not None:
+                handle.close()
 
-    def _pool_epoch(self, mp_context, token, pending):
-        """One pool lifetime: dispatch until done or a restart is needed."""
-        from repro.runtime import engine
+    def _pool_loop(self, pool, blob: bytes, pending: list[int]) -> list[int]:
+        from repro.runtime.pool import Task
 
         budget = self.budget
-        now = time.monotonic()
-        queue: dict[int, float] = {i: now for i in pending}  # not-before
-        inflight: dict[int, tuple] = {}  # index -> (result, started, attempt)
-        pool = mp_context.Pool(
-            processes=self.workers,
-            initializer=engine._set_worker_token,
-            initargs=(token,),
-        )
-        pids = {worker.pid for worker in pool._pool}
-        self._watch_pids = sorted(pids) + [os.getpid()]
-        try:
-            while queue or inflight:
-                now = time.monotonic()
-                run_cancel = self._token_reason()
-                if (
-                    run_cancel in ("deadline", "interrupt")
-                    or self._deadline_expired(now)
-                ):
-                    # Run-level stop: cancel cooperatively through the
-                    # token (no pool teardown), keep whatever lands in
-                    # the grace window, fail the rest structurally.
-                    reason = run_cancel or "deadline"
-                    if self._token() is not None:
-                        self._cancel(reason)
-                        self._grace_drain(inflight, queue)
-                    else:
-                        self._drain(inflight, queue)
-                    self._fail_remaining(
-                        list(queue) + list(inflight),
-                        "deadline" if reason == "deadline" else "cancelled",
-                    )
-                    self.out.cancelled = self.out.cancelled or reason
-                    return "done", []
-                progressed = False
-                if run_cancel is None:
-                    for index in [i for i, t in queue.items() if t <= now]:
-                        del queue[index]
-                        attempt = self.attempts[index] + 1
-                        result = pool.apply_async(
-                            engine._chunk_worker,
-                            ((index, attempt, *self.bounds[index]),),
-                        )
-                        inflight[index] = (result, now, attempt)
-                        progressed = True
-                restart_reason = None
-                timed_out = None
-                for index, (result, started, attempt) in list(inflight.items()):
-                    if result.ready():
-                        del inflight[index]
-                        progressed = True
-                        try:
-                            self._record_success(*result.get())
-                        except ChunkCancelled as exc:
-                            self._pool_cancelled(index, attempt, exc, queue)
-                        except MemoryError as exc:
-                            self._handle_resource_failure(
-                                index, attempt, "memory", exc, queue
-                            )
-                        except Exception as exc:
-                            if self._record_failure(
-                                index, attempt, "exception", exc
-                            ):
-                                queue[index] = (
-                                    time.monotonic()
-                                    + budget.backoff_for(attempt)
-                                )
-                    elif (
-                        budget.chunk_timeout_s is not None
-                        and time.monotonic() - started > budget.chunk_timeout_s
-                    ):
-                        restart_reason = "timeout"
-                        timed_out = index
-                        break
-                if run_cancel == "watchdog" and not progressed:
-                    # Hard RSS breach: every in-flight chunk parks at
-                    # its next poll and is bisected; the pool is then
-                    # recycled so the workers' bloated heaps actually
-                    # go back to the OS (a cancelled chunk frees Python
-                    # objects, not the process's high-water mark).
-                    self._grace_drain(inflight, queue)
-                    self._reset_token()
-                    for index, (result, _s, attempt) in inflight.items():
-                        if index not in self.done:
-                            self._handle_resource_failure(
-                                index, attempt, "watchdog", None, queue
-                            )
-                    return "restart", sorted(queue)
-                if restart_reason is None and inflight:
-                    # Health check: a replaced or exited worker means its
-                    # in-flight task is lost forever (Pool repopulates
-                    # workers but never re-runs their tasks).
-                    alive = pool._pool
-                    if (
-                        any(w.exitcode is not None for w in alive)
-                        or {w.pid for w in alive} != pids
-                    ):
-                        restart_reason = "worker-lost"
-                if restart_reason == "timeout" and self._token() is not None:
-                    # Cooperative preemption: flip the token so healthy
-                    # in-flight chunks park at their next poll, keep
-                    # every result that lands in the grace window,
-                    # bisect the wedged chunk, and only recycle the
-                    # pool if a worker is still unresponsive afterwards.
-                    self._cancel("preempt")
-                    self._grace_drain(inflight, queue, charge={timed_out})
-                    self._reset_token()
-                    if not inflight:
-                        continue
-                    for index, (result, _s, attempt) in inflight.items():
-                        if index not in self.done:
-                            self._handle_resource_failure(
-                                index, attempt, "timeout", None, queue
-                            )
-                    return "restart", sorted(queue)
-                if restart_reason is not None:
-                    # Ungoverned ladder: the pool cannot cancel a
-                    # running task, so the whole pool is recycled after
-                    # draining finished results.
-                    self._drain(inflight, queue)
-                    for index, (result, started, attempt) in inflight.items():
-                        if index in self.done:
-                            continue
-                        if self._record_failure(
-                            index, attempt, restart_reason, None
-                        ):
-                            queue[index] = 0.0
-                    return "restart", sorted(queue)
-                if not progressed:
-                    time.sleep(budget.poll_interval_s)
-            return "done", []
-        finally:
-            pool.terminate()
-            pool.join()
-
-    def _pool_cancelled(self, index, attempt, exc, queue: dict) -> None:
-        """Route one ChunkCancelled pool result by its cancel reason."""
-        reason = getattr(exc, "reason", "interrupt")
-        if reason == "watchdog":
-            self._handle_resource_failure(index, attempt, "watchdog", exc,
-                                          queue)
-        elif reason == "preempt":
-            queue[index] = time.monotonic()  # parked cooperatively
-        else:  # deadline / interrupt: run-level branch fails the rest
-            self.attempts[index] = max(self.attempts[index], attempt)
-            self._fail_remaining(
-                [index], "deadline" if reason == "deadline" else "cancelled"
-            )
-            self.out.cancelled = self.out.cancelled or reason
-
-    def _grace_drain(self, inflight: dict, queue: dict,
-                     charge=frozenset()) -> None:
-        """Wait up to ``drain_grace_s`` for token-cancelled chunks.
-
-        Completed results are recorded — healthy in-flight work is
-        never discarded by a preemption.  Chunks that park with
-        :class:`ChunkCancelled` are requeued uncharged unless listed in
-        ``charge`` (the wedged chunk that caused the preemption), which
-        are bisected or charged a timeout attempt.
-        """
-        deadline = time.monotonic() + self.budget.drain_grace_s
-        while inflight:
-            progressed = False
-            for index, (result, _s, attempt) in list(inflight.items()):
-                if not result.ready():
-                    continue
-                del inflight[index]
-                progressed = True
-                try:
-                    self._record_success(*result.get())
-                except ChunkCancelled as exc:
-                    reason = getattr(exc, "reason", "interrupt")
-                    if reason == "watchdog" or index in charge:
-                        self._handle_resource_failure(
-                            index, attempt,
-                            "watchdog" if reason == "watchdog" else "timeout",
-                            exc, queue,
-                        )
-                    else:
-                        queue[index] = 0.0  # parked cooperatively
-                except MemoryError as exc:
-                    self._handle_resource_failure(
-                        index, attempt, "memory", exc, queue
-                    )
-                except Exception as exc:
-                    if self._record_failure(index, attempt, "exception", exc):
-                        queue[index] = 0.0
-            if not inflight or time.monotonic() >= deadline:
-                return
-            if not progressed:
-                time.sleep(self.budget.poll_interval_s)
-
-    def _drain(self, inflight: dict, queue: dict) -> None:
-        """Consume already-finished results before abandoning a pool."""
-        for index, (result, started, attempt) in list(inflight.items()):
-            if not result.ready():
+        inflight = self._inflight
+        events = SimpleQueue()
+        waiting: dict[int, float] = dict.fromkeys(pending, 0.0)  # not-before
+        while waiting or inflight:
+            now = time.monotonic()
+            run_cancel = self._token_reason()
+            if (
+                run_cancel in ("deadline", "interrupt")
+                or self._deadline_expired(now)
+            ):
+                # Run-level stop: cancel cooperatively through the token,
+                # keep whatever lands in the grace window (only what has
+                # already landed on ungoverned runs), fail the rest.
+                reason = run_cancel or "deadline"
+                grace = 0.0
+                if self._token() is not None:
+                    self._cancel(reason)
+                    grace = budget.drain_grace_s
+                self._collect(events, inflight, waiting, grace, drain=True)
+                self._fail_remaining(
+                    list(waiting) + list(inflight),
+                    "deadline" if reason == "deadline" else "cancelled",
+                )
+                self.out.cancelled = self.out.cancelled or reason
+                return []
+            if pool.closed or self.out.pool_restarts > budget.max_pool_restarts:
+                return sorted({*waiting, *inflight})  # degrade to serial
+            if run_cancel == "watchdog":
+                # Hard RSS breach: every in-flight chunk parks at its next
+                # poll and is bisected; idle workers are then replaced so
+                # their bloated heaps actually go back to the OS (a
+                # cancelled chunk frees objects, not the high-water mark).
+                self._collect(events, inflight, waiting, budget.drain_grace_s,
+                              drain=True)
+                self._reset_token()
+                self._abandon(pool, list(inflight.values()), waiting,
+                              "watchdog")
+                pool.recycle_idle()
                 continue
-            del inflight[index]
+            if run_cancel is None:
+                for index in sorted(i for i, t in waiting.items() if t <= now):
+                    if len(inflight) >= self.workers:
+                        break
+                    del waiting[index]
+                    inflight[index] = pool.submit(Task(
+                        self.plan, blob, index, self.attempts[index] + 1,
+                        self.bounds[index], events,
+                    ))
+            limit = budget.chunk_timeout_s or math.inf
+            late = [task for task in inflight.values()
+                    if now - (task.started or now) > limit]
+            if late:
+                self._recover_timeouts(pool, events, inflight, waiting, late)
+                continue
+            timeout = min([budget.poll_interval_s,
+                           *(t - now for t in waiting.values() if t > now)])
+            if inflight:
+                self._collect(events, inflight, waiting, timeout)
+            else:
+                time.sleep(timeout)  # only backoffs pending
+        return []
+
+    def _recover_timeouts(self, pool, events, inflight, waiting, late):
+        """Chunks past ``chunk_timeout_s``.  Governed runs preempt through
+        the token first (healthy chunks park, results landing in the
+        grace window are kept, wedged chunks are bisected); workers still
+        unresponsive then — or any late one on an ungoverned run — are
+        killed and replaced."""
+        stuck = late
+        if self._token() is not None:
+            self._cancel("preempt")
+            self._collect(events, inflight, waiting,
+                          self.budget.drain_grace_s, drain=True,
+                          charge={task.index for task in late})
+            self._reset_token()
+            stuck = list(inflight.values())
+        if stuck:
+            self._abandon(pool, stuck, waiting, "timeout")
+
+    def _abandon(self, pool, stuck: list, waiting: dict, reason: str) -> None:
+        """Kill the workers running ``stuck`` tasks (one pool restart;
+        the pool replaces them) and send each chunk down the recovery
+        ladder: bisection on governed runs, a charged retry otherwise."""
+        self.out.pool_restarts += 1
+        for task in stuck:
+            del self._inflight[task.index]
+            pool.cancel(task)
+            if self._token() is not None:
+                self._handle_resource_failure(task.index, task.attempt,
+                                              reason, None, waiting)
+            elif self._record_failure(task.index, task.attempt, reason,
+                                      None):
+                waiting[task.index] = 0.0
+
+    def _collect(self, events, inflight: dict, waiting: dict,
+                 timeout: float, drain: bool = False,
+                 charge=frozenset()) -> None:
+        """Handle chunk events: wait up to ``timeout`` for the first,
+        then take those already queued — or, with ``drain`` (a token
+        cancellation's grace window), until nothing is in flight."""
+        deadline = time.monotonic() + timeout
+        while inflight:
             try:
-                self._record_success(*result.get())
-            except Exception as exc:
-                if self._record_failure(index, attempt, "exception", exc):
-                    queue[index] = 0.0
+                task, kind, payload = events.get(
+                    timeout=max(0.0, deadline - time.monotonic()))
+            except Empty:
+                return
+            if inflight.get(task.index) is task:
+                del inflight[task.index]
+                self._on_event(task, kind, payload, waiting, charge)
+            if not drain and events.empty():
+                return
+
+    def _on_event(self, task, kind: str, payload, waiting: dict,
+                  charge) -> None:
+        index, attempt = task.index, task.attempt
+        if kind == "ok":
+            self._record_success(*payload)
+        elif kind == "lost":
+            # The worker died with the chunk (an OOM kill, a "die"
+            # fault); the pool has already forked its replacement.
+            self.out.pool_restarts += 1
+            if self._record_failure(index, attempt, "worker-lost", None):
+                waiting[index] = 0.0
+        elif isinstance(payload, ChunkCancelled):
+            reason = payload.reason
+            if reason == "watchdog" or index in charge:
+                self._handle_resource_failure(
+                    index, attempt,
+                    "watchdog" if reason == "watchdog" else "timeout",
+                    payload, waiting,
+                )
+            else:
+                # Parked cooperatively: requeued uncharged (a deadline or
+                # interrupt stop then fails it with the rest).
+                waiting[index] = 0.0
+        elif isinstance(payload, MemoryError):
+            self._handle_resource_failure(index, attempt, "memory", payload,
+                                          waiting)
+        elif self._record_failure(index, attempt, "exception", payload):
+            waiting[index] = time.monotonic() + self.budget.backoff_for(attempt)
 
     # ------------------------------------------------------------------
     # In-process serial path (non-POSIX hosts, workers=1, degraded mode)
@@ -1017,7 +964,6 @@ class Supervisor:
     def _run_serial(self, pending: list[int]) -> None:
         from repro.runtime.engine import _merge_stats, _run_range
 
-        self._watch_pids = [os.getpid()]
         queue = list(pending)  # mutable: bisection pushes halves front
         while queue:
             index = queue.pop(0)
@@ -1080,9 +1026,7 @@ class Supervisor:
                     self._backoff_sleep(attempt)
                     continue
                 # Kernel-dispatch counts are charged by the caller's
-                # global STATS delta (in-process execution, like the
-                # engine's non-POSIX fallback); only merge cache counters
-                # here to avoid double counting.
+                # global STATS delta; merge only cache counters here.
                 stats: dict[str, int] = {}
                 _merge_stats(stats, chunk_ctx.cache_counters())
                 # Under tracing the span window is the measurement (one

@@ -5,12 +5,22 @@ startup (``repro.graph.shared``) and keeps one
 :class:`~repro.api.session.DecoMine` session over that view for its
 whole lifetime, so
 
-* every parallel run's fork workers attach the *same* segment zero-copy
-  (the engine detects ``graph.shared_descriptor`` and skips its per-run
-  copy), and
+* every parallel run's chunks go to the process's persistent worker
+  pool (:mod:`repro.runtime.pool`), which the server forks in its
+  constructor — before the accept thread, connection threads, deadline
+  timers or watchdogs exist, so the daemon never forks from a
+  multithreaded state except to replace a lost worker — and stops in
+  :meth:`MiningServer.close`;
+* those workers attach the *same* segment zero-copy (the engine detects
+  ``graph.shared_descriptor`` and skips its per-run copy; workers forked
+  after the share inherit the mapping outright), and
 * the session's in-memory plan cache plus the persistent
   :class:`~repro.compiler.plancache.PlanCache` make repeat patterns skip
   profile+compile+search entirely.
+
+Concurrent requests share that one session and that one pool; the
+concurrency suite (``tests/test_serve.py``) checks exact counts under
+mixed concurrent singles and batches.
 
 Admission control is a two-stage budget: at most ``max_inflight``
 requests execute concurrently and at most ``max_pending`` more may wait
@@ -44,6 +54,7 @@ from repro.graph import shared as shared_mod
 from repro.observe import metrics as om
 from repro.observe.ledger import new_run_id, run_tags
 from repro.patterns.isomorphism import canonical_code
+from repro.runtime import pool as pool_mod
 from repro.serve.protocol import ProtocolError, read_message, send_message
 
 __all__ = ["MiningServer", "ServerConfig"]
@@ -98,11 +109,15 @@ class MiningServer:
         self._handle = shared_mod.share_graph(graph)
         factory = session_factory if session_factory is not None else DecoMine
         self.session = factory(self._handle.graph, **session_kwargs)
+        workers = getattr(getattr(self.session, "engine_options", None),
+                          "workers", 1)
+        self._owns_pool = workers > 1 and hasattr(os, "fork")
+        if self._owns_pool:
+            pool_mod.get_pool(workers)  # fork now, while single-threaded
         self._slots = threading.Semaphore(config.max_inflight)
         self._pending = 0
         self._inflight = 0
         self._state_lock = threading.Lock()
-        self._session_lock = threading.Lock()
         self._stop_event = threading.Event()
         self._threads: list[threading.Thread] = []
         self._sock: socket.socket | None = None
@@ -152,11 +167,15 @@ class MiningServer:
         self._stop_event.set()
 
     def close(self) -> None:
-        """Stop accepting, join connection threads, release the segment."""
+        """Stop accepting, join connection threads, stop the worker
+        pool, release the segment."""
         self._stop_event.set()
         for thread in self._threads:
             thread.join(timeout=10.0)
         self._threads.clear()
+        if self._owns_pool:
+            self._owns_pool = False
+            pool_mod.shutdown_pool()
         if self._sock is not None:
             try:
                 self._sock.close()

@@ -179,7 +179,7 @@ class TestTraceExport:
 
 class TestWorkerSpans:
     def test_worker_round_trip_grafts_under_open_span(self):
-        # Simulate the fork-pool protocol in-process: the "worker" swaps
+        # Simulate the pool-worker protocol in-process: the "worker" swaps
         # in a fresh trace, records, exports; the parent adopts.
         observe.enable("parent")
         parent_trace = observe.current_trace()

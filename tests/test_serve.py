@@ -9,6 +9,7 @@ ledger tags, and the bounded admission queue.
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 
 import pytest
@@ -182,6 +183,67 @@ class TestServerEndToEnd:
         server.close()
         assert segment not in shared_mod.active_segments()
         assert not (tmp_path / "seg.sock").exists()
+
+
+class TestSharedSessionStress:
+    """Many clients on one session and one worker pool (the reason the
+    server needs no session-wide lock)."""
+
+    def test_mixed_singles_and_batches_stay_exact(self, graph, tmp_path):
+        from repro.runtime.engine import EngineOptions
+
+        names = ["triangle", "house", "diamond", "4-cycle", "4-clique",
+                 "triangle"]
+        expected = {
+            name: reference.count_embeddings(graph, pattern_from_wire(name))
+            for name in set(names)
+        }
+        config = ServerConfig(socket_path=str(tmp_path / "stress.sock"),
+                              max_inflight=2, max_pending=8)
+        answers: list[tuple[str, MiningResponse]] = []
+        errors: list[Exception] = []
+
+        def client_loop(index: int) -> None:
+            try:
+                with Client(config.socket_path,
+                            client_id=f"s{index}") as client:
+                    for step in range(6):
+                        name = names[(index + step) % len(names)]
+                        if (index + step) % 3 == 0:
+                            batch = [name, names[(step + 1) % len(names)],
+                                     name]
+                            replies = client.submit_batch(batch)
+                            answers.extend(zip(batch, replies))
+                        else:
+                            answers.append((name, client.submit(name)))
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the session's threads
+        try:
+            with MiningServer(graph, config,
+                              engine=EngineOptions(workers=2)) as server:
+                threads = [threading.Thread(target=client_loop, args=(i,))
+                           for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                stats = server.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(answers) == sum(
+            3 if (i + step) % 3 == 0 else 1
+            for i in range(4) for step in range(6))
+        for name, reply in answers:
+            assert reply.ok, reply.error
+            assert reply.count == expected[name], name
+        assert stats["rejections"] == 0
+        assert stats["errors"] == 0
+        assert shared_mod.active_segments() == []
 
 
 class TestAdmissionControl:

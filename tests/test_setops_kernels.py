@@ -19,7 +19,6 @@ from repro.runtime.setops import (
     EMPTY,
     GALLOP_RATIO,
     MERGE_CUTOFF,
-    BufferPool,
     gallop_search,
 )
 
@@ -271,56 +270,3 @@ class TestGallopSearch:
         assert gallop_search(a, 5) == 0
         assert gallop_search(a, 35) == 3
         assert gallop_search(a, 20, lo=3) == 3
-
-
-# ----------------------------------------------------------------------
-# Allocation-free variants + the free-list pool
-# ----------------------------------------------------------------------
-
-class TestIntoVariantsAndPool:
-    def test_intersect_into_matches_plain(self):
-        rng = np.random.default_rng(21)
-        pool = BufferPool()
-        for an, bn in [(0, 10), (10, 0), (30, 500), (200, 220)]:
-            a = random_set(rng, an, 900) if an else EMPTY
-            b = random_set(rng, bn, 900) if bn else EMPTY
-            out = pool.acquire(min(a.size, b.size) or 1)
-            k = setops.intersect_into(a, b, out)
-            assert out[:k].tolist() == oracle_intersect(a, b)
-            pool.release(out)
-
-    def test_subtract_into_matches_plain(self):
-        rng = np.random.default_rng(22)
-        pool = BufferPool()
-        for an, bn in [(25, 0), (40, 600), (300, 310)]:
-            a = random_set(rng, an, 1000)
-            b = random_set(rng, bn, 1000) if bn else EMPTY
-            out = pool.acquire(a.size)
-            k = setops.subtract_into(a, b, out)
-            assert out[:k].tolist() == oracle_subtract(a, b)
-            pool.release(out)
-
-    def test_pool_reuses_released_buffers(self):
-        pool = BufferPool()
-        first = pool.acquire(100)
-        pool.release(first)
-        second = pool.acquire(90)  # same power-of-two class (128)
-        assert second is first
-        assert pool.stats()["pool_reuses"] == 1
-        assert pool.stats()["pool_leases"] == 2
-
-    def test_pool_release_accepts_views(self):
-        pool = BufferPool()
-        buf = pool.acquire(64)
-        pool.release(buf[:10])  # a view of the lease finds its base
-        assert pool.acquire(64) is buf
-
-    def test_pool_bounds_stock_and_rejects_foreign_shapes(self):
-        pool = BufferPool(max_per_class=2)
-        buffers = [pool.acquire(16) for _ in range(4)]
-        for buf in buffers:
-            pool.release(buf)
-        assert pool.stats()["pool_idle"] == 2  # capped per class
-        odd = np.empty(17, dtype=setops.DTYPE)  # not pool-shaped
-        pool.release(odd)
-        assert pool.stats()["pool_idle"] == 2

@@ -1,7 +1,7 @@
 """Unit tests for the execution supervisor and its building blocks.
 
 Covers the policy object (`RunBudget`), the checkpoint log, argument
-validation, the fork-state token registry (the reentrancy fix), the
+validation, run isolation on the shared worker pool, the
 non-POSIX serial fallback, and the serial-path recovery ladder: retry
 with backoff, retry exhaustion, deadlines, and checkpoint/resume.
 Pool-path recovery under injected faults lives in
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -21,7 +22,6 @@ from repro.costmodel import profile_graph
 from repro.exceptions import ExecutionError, ReproError
 from repro.graph.generators import erdos_renyi
 from repro.patterns import catalog
-from repro.runtime import engine
 from repro.runtime.context import ExecutionContext
 from repro.runtime.engine import (
     EngineOptions,
@@ -347,53 +347,94 @@ class TestCheckpointResume:
         assert second.metrics.resumed_chunks > first.metrics.resumed_chunks
 
 
-class TestForkStateReentrancy:
-    def test_registrations_do_not_clobber_each_other(self, case):
-        graph, plan, expected = case
-        sentinel = {"sentinel": object()}
-        token = engine._register_fork_state(sentinel)
-        try:
-            # A full parallel run while another run's state is live.
-            result = execute_plan(plan, graph,
-                                  options=EngineOptions(workers=2))
-            assert result.embedding_count == expected
-            assert engine._FORK_STATES[token] is sentinel
-        finally:
-            engine._release_fork_state(token)
-        assert token not in engine._FORK_STATES
+class TestPoolIsolation:
+    """Runs share one persistent worker pool; each must still see only
+    its own plan and its own results."""
 
-    def test_worker_reads_its_own_token(self, case, monkeypatch):
-        """Simulate a pool child: the token selects the right state."""
+    def test_concurrent_runs_never_mix_results(self, case):
+        import threading
+
         graph, plan, expected = case
-        decoy = engine._register_fork_state({"plan": None, "graph": None,
-                                             "executor": "codegen",
-                                             "predicates": []})
-        token = engine._register_fork_state({
-            "plan": plan, "graph": graph, "executor": "codegen",
-            "predicates": [],
-        })
+        profile = profile_graph(graph, max_pattern_size=3, trials=60)
+        other = compile_pattern(catalog.triangle(), profile)
+        other_expected = reference.count_embeddings(graph, catalog.triangle())
+        results: dict = {}
+
+        def run(name, which):
+            results[name] = [
+                execute_plan(which, graph, options=EngineOptions(workers=2))
+                .embedding_count
+                for _ in range(5)
+            ]
+
+        threads = [threading.Thread(target=run, args=(name, which))
+                   for name, which in (("house", plan), ("triangle", other),
+                                       ("house2", plan))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the runs' threads hard
         try:
-            engine._set_worker_token(token)
-            index, attempt, accumulators, seconds, stats, spans = (
-                engine._chunk_worker((5, 2, None, None))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {"house": [expected] * 5,
+                           "house2": [expected] * 5,
+                           "triangle": [other_expected] * 5}
+
+    def test_worker_runs_the_plan_its_task_names(self, case):
+        from queue import SimpleQueue
+
+        from repro.graph import shared
+        from repro.runtime.pool import Task, frame_blob, get_pool
+
+        graph, plan, expected = case
+        profile = profile_graph(graph, max_pattern_size=3, trials=60)
+        decoy = compile_pattern(catalog.triangle(), profile)
+        plans = {"house": plan, "decoy": decoy}
+        pool = get_pool(2)
+        events = SimpleQueue()
+        with shared.share_graph(graph) as handle:
+            blob = frame_blob(handle.descriptor, "codegen", True, (), None,
+                              None, False)
+            tasks = [pool.submit(Task(plans[name], blob, index, 2,
+                                      (0, graph.num_vertices), events))
+                     for index, name in enumerate(
+                         ["decoy", "house", "decoy", "house"])]
+            replies = {}
+            for _ in tasks:
+                task, kind, payload = events.get(timeout=30)
+                assert kind == "ok"
+                replies[task.index] = payload
+        for index in (1, 3):
+            seen_index, attempt, accumulators, seconds, _stats, spans = (
+                replies[index]
             )
-            assert index == 5 and attempt == 2
+            assert (seen_index, attempt) == (index, 2)
             assert accumulators["acc_count"] // plan.info.divisor == expected
             assert seconds > 0
             assert spans == []  # tracing disabled: no worker spans shipped
-        finally:
-            monkeypatch.setattr(engine, "_WORKER_TOKEN", None)
-            engine._release_fork_state(token)
-            engine._release_fork_state(decoy)
+        triangles = reference.count_embeddings(graph, catalog.triangle())
+        assert (replies[0][2]["acc_count"] // decoy.info.divisor
+                == triangles)
 
-    def test_tokens_are_unique(self):
-        a = engine._register_fork_state({})
-        b = engine._register_fork_state({})
-        try:
-            assert a != b
-        finally:
-            engine._release_fork_state(a)
-            engine._release_fork_state(b)
+    def test_plan_registrations_are_unique(self, case):
+        import copy
+        from dataclasses import replace
+
+        graph, plan, _ = case
+        profile = profile_graph(graph, max_pattern_size=3, trials=60)
+        keys = {compile_pattern(p, profile).frozen_ir[0]
+                for p in (catalog.triangle(), catalog.house(),
+                          catalog.cycle(4), catalog.clique(4))}
+        assert len(keys) == 4
+        # Equal IR in another plan object is one registration: a worker
+        # that has lowered it once is never shipped it again.
+        twin = replace(plan, root=copy.deepcopy(plan.root))
+        assert twin is not plan
+        assert twin.frozen_ir[0] == plan.frozen_ir[0]
 
 
 class TestNonPosixFallback:
