@@ -251,8 +251,7 @@ def _engine_from_wire(wire: dict):
     if not isinstance(wire, dict):
         raise ReproError("engine override must be a JSON object")
     allowed = {
-        "workers", "chunks_per_worker", "executor", "shared_graph",
-        "cache", "orientation",
+        "workers", "chunks_per_worker", "executor", "cache", "orientation",
     }
     unknown = set(wire) - allowed
     if unknown:

@@ -126,9 +126,6 @@ class FaultPlan:
                 faults.append(Fault("oom", chunk, attempts))
         return cls(tuple(faults))
 
-    def for_chunk(self, chunk: int) -> tuple[Fault, ...]:
-        return tuple(self._by_chunk.get(chunk, ()))
-
     def fire(self, chunk: int, attempt: int, allow_exit: bool = True) -> None:
         """Inject this chunk's faults for one attempt.
 

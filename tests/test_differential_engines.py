@@ -161,10 +161,20 @@ class TestSharedGraphLifecycle:
 
     def test_opt_out_keeps_copy_on_write_path(self, case):
         graph, plan, expected, shared = case
-        options = EngineOptions(workers=2, shared_graph=False)
+        options = EngineOptions(workers=2)
         result = execute_plan(plan, graph, options=options)
         assert result.embedding_count == expected
         assert shared.active_segments() == []
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_removed_shared_graph_option_is_rejected(self, value):
+        from repro.api.messages import _engine_from_wire
+        from repro.exceptions import ExecutionError, ReproError
+
+        with pytest.raises(ExecutionError, match="shared_graph=.*removed"):
+            EngineOptions(workers=2, shared_graph=value)
+        with pytest.raises(ReproError, match="shared_graph"):
+            _engine_from_wire({"workers": 2, "shared_graph": value})
 
 
 @pytest.mark.parametrize("orientation", ORIENTATIONS)
